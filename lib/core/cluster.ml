@@ -8,10 +8,6 @@ type protocol =
   | Enhanced
   | Original
 
-type scheduler =
-  | Heap
-  | Scan
-
 (* The location subsystem (DESIGN.md §14).  [Loc_off] is the seed
    behaviour: forwarding proxies only, broadcast search on exhaustion —
    and bit-identical traffic, because every new message tag and event
@@ -131,7 +127,8 @@ type chaos_act =
 
    The node range is split into contiguous shards (Shard.plan), each
    with its own engine heap.  Two execution regimes share the shard
-   structure:
+   structure, and both execute every popped entry through one handler,
+   [exec_entry]; they differ only in how the next entry is chosen:
 
    - *Sequential merge* ([step_once]): repeatedly pop the globally
      earliest event across the per-shard engines, comparing heads by
@@ -152,9 +149,8 @@ type chaos_act =
      sequential run (every arrival lands at or past the horizon, so
      deferral is unobservable in-window).  Bus events are buffered
      per shard with their generating event's key and replayed merged
-     at the barrier; with no subscribers and no trace hook the buffer
-     is skipped and counters (per node, shard-owned) are updated
-     directly.  The rare in-window thread abort (a failed location
+     at the barrier; with no subscribers the buffer is skipped and
+     counters (per node, shard-owned) are updated directly.  The rare in-window thread abort (a failed location
      search) is deferred to the barrier too; its thread's segments
      are all parked awaiting a reply that will never come, so the
      deferral is unobservable. *)
@@ -200,7 +196,6 @@ type t = {
   repo : Mobility.Code_repository.t;
   proto : protocol;
   wire_impl : Enet.Wire.impl;
-  sched : scheduler;
   splan : Shard.plan;
   owner : int array;  (* node -> shard, cached from [splan] *)
   engines : Engine.t array;  (* one per shard *)
@@ -210,7 +205,6 @@ type t = {
   mutable win_buffering : bool;  (* window events buffered for replay *)
   bus : E.bus;
   mutable events : int;
-  mutable trace : (string -> unit) option;
   failures : (T.tid, string) Hashtbl.t;  (* threads lost to node crashes *)
   gc_threshold : int option;  (* collect a node when its heap exceeds this *)
   gc_threshold_i : int;  (* same, resolved to max_int when absent (hot-loop form) *)
@@ -274,26 +268,17 @@ let n_shards t = Array.length t.shards
 let shard_of t i = t.owner.(i)
 let eng t i = t.engines.(t.owner.(i))
 
-let emit_direct t ev =
-  E.emit t.bus ev;
-  match t.trace with
-  | None -> ()
-  | Some f -> ( match E.legacy_string ev with Some s -> f s | None -> ())
-
 (* Emit an event attributed to [node].  Inside a parallel window the
    event is buffered with the generating event's merge key (or, with
    nobody listening, counted directly — the node's counters are owned
    by the executing shard); otherwise it goes straight to the bus. *)
 let emit t ~node ev =
-  if t.win_active then begin
+  if t.win_active && t.win_buffering then begin
     let sh = t.shards.(t.owner.(node)) in
-    if t.win_buffering then begin
-      sh.sh_seq <- sh.sh_seq + 1;
-      sh.sh_buf <- (sh.sh_key_time, sh.sh_key_rank, sh.sh_seq, B_ev ev) :: sh.sh_buf
-    end
-    else E.emit t.bus ev
+    sh.sh_seq <- sh.sh_seq + 1;
+    sh.sh_buf <- (sh.sh_key_time, sh.sh_key_rank, sh.sh_seq, B_ev ev) :: sh.sh_buf
   end
-  else emit_direct t ev
+  else E.emit t.bus ev
 
 (* --- span tracing helpers (DESIGN.md §12) ---
 
@@ -335,40 +320,39 @@ let attach_profile t p =
    time; the engine dedups, so this is cheap to call after anything
    that might have woken a segment *)
 let ensure_step t i =
-  if t.sched = Heap then begin
-    let n = t.nodes.(i) in
-    if (not n.n_crashed) && K.has_ready n.n_kernel then
-      Engine.schedule (eng t i) ~at:(K.time_us n.n_kernel) (Engine.Step i)
-  end
+  let n = t.nodes.(i) in
+  if (not n.n_crashed) && K.has_ready n.n_kernel then
+    Engine.schedule (eng t i) ~at:(K.time_us n.n_kernel) (Engine.Step i)
 
 (* (re)queue a wake at the node's earliest timed-wait deadline; the
    engine dedups, and the pop handler revalidates against the kernel, so
-   a stale or superseded entry costs one no-op pop.  Timed waits are a
-   Heap-scheduler feature, like fault plans. *)
+   a stale or superseded entry costs one no-op pop. *)
 let ensure_wake t i =
-  if t.sched = Heap then begin
-    let n = t.nodes.(i) in
-    if not n.n_crashed then
-      match K.next_timeout n.n_kernel with
-      | Some d -> Engine.schedule (eng t i) ~at:d (Engine.Wake i)
-      | None -> ()
-  end
+  let n = t.nodes.(i) in
+  if not n.n_crashed then
+    match K.next_timeout n.n_kernel with
+    | Some d -> Engine.schedule (eng t i) ~at:d (Engine.Wake i)
+    | None -> ()
+
+(* (re)queue delivery of the node's next arrived message; packets
+   addressed to a dead interface still need draining *)
+let ensure_deliver t i =
+  match Enet.Netsim.next_arrival_at t.net ~dst:i with
+  | Some a ->
+    Engine.schedule (eng t i)
+      ~at:(Float.max a (K.time_us t.nodes.(i).n_kernel))
+      (Engine.Deliver i)
+  | None -> ()
 
 let create ?net_config ?(protocol = Enhanced) ?(wire_impl = Enet.Wire.Naive)
-    ?(scheduler = Heap) ?(shards = 1) ?quantum ?(opt_level = Emc.Opt.O0)
+    ?(shards = 1) ?quantum ?(opt_level = Emc.Opt.O0)
     ?gc_threshold ?(gc_mode = Gc_stw) ?(gc_budget = 4096)
     ?(faults = Fault.Plan.empty) ?(async_migration = false)
     ?(location = Loc_off) ~archs () =
   let n = List.length archs in
   let reliable = not (Fault.Plan.is_trivial faults) in
-  if reliable && scheduler <> Heap then
-    invalid_arg "Cluster.create: fault plans require the Heap scheduler";
-  if gc_mode = Gc_incremental && scheduler <> Heap then
-    invalid_arg "Cluster.create: incremental GC requires the Heap scheduler";
   if gc_budget < 1 then invalid_arg "Cluster.create: gc_budget must be positive";
   if shards < 1 then invalid_arg "Cluster.create: need at least one shard";
-  if shards > 1 && scheduler <> Heap then
-    invalid_arg "Cluster.create: sharding requires the Heap scheduler";
   let net = Enet.Netsim.create ?config:net_config ~n_nodes:n () in
   let repo = Mobility.Code_repository.create ~n_nodes:n () in
   let nodes =
@@ -410,7 +394,7 @@ let create ?net_config ?(protocol = Enhanced) ?(wire_impl = Enet.Wire.Naive)
   in
   let shard_ctxs = Array.init d mk_shard in
   let t =
-    { nodes; net; repo; proto = protocol; wire_impl; sched = scheduler;
+    { nodes; net; repo; proto = protocol; wire_impl;
       splan; owner = Array.init n (Shard.owner splan);
       engines = Array.map (fun sh -> sh.sh_engine) shard_ctxs;
       shards = shard_ctxs;
@@ -418,7 +402,7 @@ let create ?net_config ?(protocol = Enhanced) ?(wire_impl = Enet.Wire.Naive)
         (Enet.Netsim.config net).Enet.Netsim.latency_us;
       win_active = false; win_buffering = false;
       bus = E.create_bus ~n_nodes:n;
-      events = 0; trace = None;
+      events = 0;
       failures = Hashtbl.create 4;
       gc_threshold = gc_threshold;
       gc_threshold_i = (match gc_threshold with Some v -> v | None -> max_int);
@@ -453,9 +437,8 @@ let create ?net_config ?(protocol = Enhanced) ?(wire_impl = Enet.Wire.Naive)
       K.set_on_root_result node.n_kernel (fun ~thread r ->
           Hashtbl.replace done_tbl thread r))
     t.nodes;
-  if scheduler = Heap then
-    Enet.Netsim.set_on_arrival net (fun ~dst ~at ->
-        Engine.schedule (eng t dst) ~at (Engine.Deliver dst));
+  Enet.Netsim.set_on_arrival net (fun ~dst ~at ->
+      Engine.schedule (eng t dst) ~at (Engine.Deliver dst));
   if reliable then begin
     Enet.Netsim.set_injector net (fun ~src ~dst ~now_us ->
         Fault.Plan.wire_fault faults ~rng:t.frng ~src ~dst ~now_us);
@@ -495,7 +478,6 @@ let create ?net_config ?(protocol = Enhanced) ?(wire_impl = Enet.Wire.Naive)
   t
 
 let protocol t = t.proto
-let scheduler t = t.sched
 let gc_mode t = t.gc_mode
 let gc_in_progress t i = t.gcs.(i) <> None
 let location t = t.location
@@ -526,7 +508,9 @@ let engine t = t.engines.(0)
 let engines t = t.engines
 let conversion_stats t i = t.nodes.(i).n_conv
 let fault_plan t = t.faults
-let set_trace t f = t.trace <- Some f
+let set_trace t f =
+  E.subscribe t.bus (fun ev ->
+      match E.legacy_string ev with Some s -> f s | None -> ())
 let bus t = t.bus
 let subscribe_events t f = E.subscribe t.bus f
 let node_counters t i = E.counters t.bus i
@@ -1798,40 +1782,6 @@ let gc_pending t i = t.gcs.(i) <> None
 let over_gc_threshold t i =
   Ert.Heap.live_bytes (K.heap (t.nodes.(i).n_kernel)) > t.gc_threshold_i
 
-(* --- the seed's O(nodes) selection scan, kept as the [Scan] scheduler
-   (the heap engine is cross-checked against it, and the scaling
-   benchmark measures the difference) --- *)
-
-type scan_event =
-  | E_deliver of int * float
-  | E_step of int * float
-
-let next_event_scan t =
-  let best = ref None in
-  let better time =
-    match !best with
-    | None -> true
-    | Some (E_deliver (_, bt) | E_step (_, bt)) -> time < bt
-  in
-  (* message deliveries first on ties (lower effective time wins) *)
-  Array.iteri
-    (fun i n ->
-      match Enet.Netsim.next_arrival_at t.net ~dst:i with
-      | Some arrival ->
-        (* packets addressed to a dead interface still need draining *)
-        let eff = Float.max arrival (K.time_us n.n_kernel) in
-        if better eff then best := Some (E_deliver (i, eff))
-      | None -> ())
-    t.nodes;
-  Array.iteri
-    (fun i n ->
-      if (not n.n_crashed) && K.has_ready n.n_kernel then begin
-        let time = K.time_us n.n_kernel in
-        if better time then best := Some (E_step (i, time))
-      end)
-    t.nodes;
-  !best
-
 (* the reliable-transport receive path: unwrap the envelope, ack every
    data frame (even duplicates — the first ack may itself have been
    lost), suppress (src, seq) pairs already delivered, and clear the
@@ -1894,33 +1844,92 @@ let exec_deliver t i eff =
     drop_message t ~node:i msg ~reason:(Printf.sprintf "node %d is down" i)
   | Some m -> deliver t ~dst:i m
 
-let exec_step t i ~time =
-  count_event t i;
-  let k = t.nodes.(i).n_kernel in
-  (if t.win_active && t.win_buffering then
-     emit t ~node:i (E.Ev_step { node = i; time })
-   else E.emit_step t.bus ~node:i ~time);
-  match K.step k with
-  | [] -> ()
-  | outs -> List.iter (handle_outcall t ~src:i) outs
-
-let step_once_scan t =
-  match next_event_scan t with
-  | None -> false
-  | Some (E_deliver (i, eff)) ->
-    exec_deliver t i eff;
-    true
-  | Some (E_step (i, time)) ->
-    exec_step t i ~time;
-    if over_gc_threshold t i then do_collect t i;
-    true
-
-(* --- the heap engine loop.  Entries are revalidated when popped: a
-   node's clock may have advanced past its queued step, or a message
-   queue's head may now arrive effectively later; stale entries are
-   rescheduled at the corrected (always later) time and the pop costs
-   nothing.  Executed events therefore come out in exactly the order the
-   scan would have chosen. *)
+(* The one event handler, shared by the sequential merge and the
+   parallel windows: execute a popped Step, Deliver, Wake or Gc entry
+   queued at [tm] on engine [e].  [tm] is the entry's own queue time,
+   never the engine's frontier: a step queued by a late host-side spawn
+   on an idle node sits far below the frontier, and the frontier is per
+   shard, so reading it made the event stream depend on the shard
+   count.  Entries are revalidated first — a node's clock may have
+   advanced past its queued step, a message queue's head may now arrive
+   effectively later, a wait deadline may have been consumed or
+   superseded, a collection may no longer be due.  A stale entry is rescheduled at its corrected (always later) time,
+   or dropped when nothing is left to do, and the result is [false]:
+   the pop cost nothing.  Timer and Chaos entries exist only under a
+   fault plan, which keeps execution sequential, so [step_once_heap]
+   handles them itself. *)
+let exec_entry t e ~tm = function
+  | Engine.Step i ->
+    let n = t.nodes.(i) in
+    if n.n_crashed || not (K.has_ready n.n_kernel) then false
+    else begin
+      let now = n.n_clock.Sim.Clock.now in
+      if now > tm then begin
+        Engine.reschedule e ~at:now (Engine.Step i);
+        false
+      end
+      else begin
+        count_event t i;
+        (if t.win_active && t.win_buffering then
+           emit t ~node:i (E.Ev_step { node = i; time = tm })
+         else E.emit_step t.bus ~node:i ~time:tm);
+        List.iter (handle_outcall t ~src:i) (K.step n.n_kernel);
+        (* the slice advanced the node clock; read it once for both the
+           collection check and the follow-on step *)
+        let at = n.n_clock.Sim.Clock.now in
+        if over_gc_threshold t i then Engine.schedule e ~at (Engine.Gc i);
+        if (not n.n_crashed) && K.has_ready n.n_kernel then
+          Engine.schedule e ~at (Engine.Step i);
+        ensure_wake t i;
+        true
+      end
+    end
+  | Engine.Deliver i -> (
+    let n = t.nodes.(i) in
+    match Enet.Netsim.next_arrival_at t.net ~dst:i with
+    | None -> false
+    | Some arrival ->
+      let eff = Float.max arrival n.n_clock.Sim.Clock.now in
+      if eff > tm then begin
+        Engine.reschedule e ~at:eff (Engine.Deliver i);
+        false
+      end
+      else begin
+        exec_deliver t i eff;
+        ensure_deliver t i;
+        ensure_step t i;
+        ensure_wake t i;
+        true
+      end)
+  | Engine.Wake i -> (
+    let n = t.nodes.(i) in
+    match if n.n_crashed then None else K.next_timeout n.n_kernel with
+    | None -> false
+    | Some d ->
+      let eff = Float.max d n.n_clock.Sim.Clock.now in
+      if eff > tm then begin
+        Engine.reschedule e ~at:eff (Engine.Wake i);
+        false
+      end
+      else begin
+        count_event t i;
+        K.set_time_us n.n_kernel tm;
+        ignore (K.expire_timeouts n.n_kernel ~now:tm : int);
+        ensure_wake t i;
+        ensure_step t i;
+        true
+      end)
+  | Engine.Gc i ->
+    (* an in-progress incremental cycle must run to completion even if
+       sweeping has already pushed the heap back under the threshold *)
+    if t.nodes.(i).n_crashed || not (gc_pending t i || over_gc_threshold t i)
+    then false
+    else begin
+      do_collect t i;
+      ensure_step t i;
+      true
+    end
+  | Engine.Timer _ | Engine.Chaos _ -> assert false
 
 (* Harness code may mutate a kernel behind the cluster's back (tests
    drive [Mobility.Checkpoint.restore] on a kernel directly, for
@@ -1928,29 +1937,14 @@ let step_once_scan t =
    once and reseed anything runnable.  This is the only O(nodes) scan
    left, and it runs once per drain, not per event. *)
 let reseed t =
-  let any = ref false in
-  Array.iteri
-    (fun i n ->
-      if (not n.n_crashed) && K.has_ready n.n_kernel then begin
-        Engine.schedule (eng t i) ~at:(K.time_us n.n_kernel) (Engine.Step i);
-        any := true
-      end;
-      (* a node whose segments all sit in timed waits has no ready work,
-         so only its wake keeps the simulation from quiescing early *)
-      (match K.next_timeout n.n_kernel with
-      | Some d when not n.n_crashed ->
-        Engine.schedule (eng t i) ~at:d (Engine.Wake i);
-        any := true
-      | _ -> ());
-      match Enet.Netsim.next_arrival_at t.net ~dst:i with
-      | Some a ->
-        Engine.schedule (eng t i)
-          ~at:(Float.max a (K.time_us n.n_kernel))
-          (Engine.Deliver i);
-        any := true
-      | None -> ())
-    t.nodes;
-  !any
+  for i = 0 to Array.length t.nodes - 1 do
+    ensure_step t i;
+    (* a node whose segments all sit in timed waits has no ready work,
+       so only its wake keeps the simulation from quiescing early *)
+    ensure_wake t i;
+    ensure_deliver t i
+  done;
+  Array.exists (fun e -> Engine.pending e > 0) t.engines
 
 (* one due retransmission deadline: either resend with doubled backoff or,
    with the attempt budget spent, report the loss and abort whatever was
@@ -2008,7 +2002,7 @@ let rec step_once_heap t ~horizon =
   | None -> if reseed t then step_once_heap t ~horizon else false
   | Some (tm, _) when tm >= horizon ->
     false (* a pending load-balancing point gates further execution *)
-  | Some (_, e) ->
+  | Some (tm, e) ->
   match Engine.take e with
   | None -> if reseed t then step_once_heap t ~horizon else false
   | Some (Engine.Timer i) ->
@@ -2050,88 +2044,9 @@ let rec step_once_heap t ~horizon =
       | [] -> ());
       ensure_step t i;
       true)
-  | Some (Engine.Gc i) ->
-    let n = t.nodes.(i) in
-    (* an in-progress incremental cycle must run to completion even if
-       sweeping has already pushed the heap back under the threshold *)
-    if n.n_crashed || not (gc_pending t i || over_gc_threshold t i) then
-      step_once_heap t ~horizon
-    else begin
-      do_collect t i;
-      ensure_step t i;
-      true
-    end
-  | Some (Engine.Step i) ->
-    let n = t.nodes.(i) in
-    if n.n_crashed || not (K.has_ready n.n_kernel) then step_once_heap t ~horizon
-    else begin
-      let tm = Engine.now e in
-      let now = n.n_clock.Sim.Clock.now in
-      if now > tm then begin
-        Engine.reschedule e ~at:now (Engine.Step i);
-        step_once_heap t ~horizon
-      end
-      else begin
-        exec_step t i ~time:tm;
-        (* the slice advanced the node clock; read it once for both the
-           collection check and the follow-on step *)
-        let at = n.n_clock.Sim.Clock.now in
-        if over_gc_threshold t i then Engine.schedule e ~at (Engine.Gc i);
-        if (not n.n_crashed) && K.has_ready n.n_kernel then
-          Engine.schedule e ~at (Engine.Step i);
-        ensure_wake t i;
-        true
-      end
-    end
-  | Some (Engine.Wake i) ->
-    (* revalidate against the kernel, exactly as Step does against the
-       clock: the deadline may have been consumed (signalled, migrated
-       away) or superseded by an earlier one since this entry was queued *)
-    let n = t.nodes.(i) in
-    if n.n_crashed then step_once_heap t ~horizon
-    else begin
-      let k = n.n_kernel in
-      match K.next_timeout k with
-      | None -> step_once_heap t ~horizon
-      | Some d ->
-        let tm = Engine.now e in
-        let eff = Float.max d n.n_clock.Sim.Clock.now in
-        if eff > tm then begin
-          Engine.reschedule e ~at:eff (Engine.Wake i);
-          step_once_heap t ~horizon
-        end
-        else begin
-          count_event t i;
-          K.set_time_us k tm;
-          ignore (K.expire_timeouts k ~now:tm : int);
-          ensure_wake t i;
-          ensure_step t i;
-          true
-        end
-    end
-  | Some (Engine.Deliver i) ->
-    let n = t.nodes.(i) in
-    (match Enet.Netsim.next_arrival_at t.net ~dst:i with
-    | None -> step_once_heap t ~horizon
-    | Some arrival ->
-      let tm = Engine.now e in
-      let eff = Float.max arrival n.n_clock.Sim.Clock.now in
-      if eff > tm then begin
-        Engine.reschedule e ~at:eff (Engine.Deliver i);
-        step_once_heap t ~horizon
-      end
-      else begin
-        exec_deliver t i eff;
-        (match Enet.Netsim.next_arrival_at t.net ~dst:i with
-        | Some a ->
-          Engine.schedule e
-            ~at:(Float.max a (K.time_us n.n_kernel))
-            (Engine.Deliver i)
-        | None -> ());
-        ensure_step t i;
-        ensure_wake t i;
-        true
-      end)
+  | Some ev ->
+    if exec_entry t e ~tm ev then true
+    else step_once_heap t ~horizon
 
 (* Fire the installed balancer and advance its schedule.  Balancing
    points partition virtual time identically under any shard count: an
@@ -2149,19 +2064,16 @@ let set_balancer t ~every_us f =
   t.balance_at <- every_us
 
 let rec step_once t =
-  match t.sched with
-  | Heap ->
-    if step_once_heap t ~horizon:t.balance_at then true
-    else if t.balancer <> None && pick_engine t <> None then begin
-      (* not quiescent — execution is gated at a pending balancing
-         point.  Fire it here so [false] means quiescent for every
-         caller, including external drivers stepping the cluster
-         themselves (the fuzz harness, interactive tools). *)
-      fire_balancer t;
-      step_once t
-    end
-    else false
-  | Scan -> step_once_scan t
+  if step_once_heap t ~horizon:t.balance_at then true
+  else if t.balancer <> None && pick_engine t <> None then begin
+    (* not quiescent — execution is gated at a pending balancing point.
+       Fire it here so [false] means quiescent for every caller,
+       including external drivers stepping the cluster themselves (the
+       fuzz harness, interactive tools). *)
+    fire_balancer t;
+    step_once t
+  end
+  else false
 
 (* ----------------------------------------------------------------------- *)
 (* parallel windows (run-to-quiescence only)
@@ -2177,7 +2089,6 @@ let rec step_once t =
 
 let parallel_ok t =
   Array.length t.shards > 1
-  && t.sched = Heap
   && (not t.reliable)
   && t.lookahead > 0.0
   (* the Naive conversion tier is the one whose en/decode paths touch no
@@ -2185,84 +2096,24 @@ let parallel_ok t =
   && wire_impl_of t = Enet.Wire.Naive
   && not (Array.exists (fun n -> n.n_crashed) t.nodes)
 
-(* Execute one shard's events inside the window [*, horizon).  The body
-   mirrors [step_once_heap]'s Step/Deliver/Gc revalidation exactly;
-   Timer and Chaos entries cannot exist here ([parallel_ok] excludes
-   fault plans).  Each popped entry's (time, rank) becomes the merge
-   key under which the event's emissions, sends and aborts are
-   buffered. *)
+(* Execute one shard's events inside the window [*, horizon) through
+   the shared handler.  Timer and Chaos entries cannot exist here
+   ([parallel_ok] excludes fault plans).  Each popped entry's (time,
+   rank) becomes the merge key under which the event's emissions, sends
+   and aborts are buffered. *)
 let win_run_shard t s ~horizon =
   let sh = t.shards.(s) in
   let e = sh.sh_engine in
   let running = ref true in
   while !running do
     match Engine.peek e with
-    | None -> running := false
-    | Some (tm, _) when tm >= horizon -> running := false
-    | Some (tm, rk) -> (
+    | Some (tm, rk) when tm < horizon -> (
       sh.sh_key_time <- tm;
       sh.sh_key_rank <- rk;
       match Engine.take e with
-      | None -> running := false
-      | Some (Engine.Timer _) | Some (Engine.Chaos _) ->
-        assert false (* never scheduled without a fault plan *)
-      | Some (Engine.Gc i) ->
-        let n = t.nodes.(i) in
-        if (not n.n_crashed) && (gc_pending t i || over_gc_threshold t i)
-        then begin
-          do_collect t i;
-          ensure_step t i
-        end
-      | Some (Engine.Step i) ->
-        let n = t.nodes.(i) in
-        if (not n.n_crashed) && K.has_ready n.n_kernel then begin
-          let now = n.n_clock.Sim.Clock.now in
-          if now > tm then Engine.reschedule e ~at:now (Engine.Step i)
-          else begin
-            exec_step t i ~time:tm;
-            let at = n.n_clock.Sim.Clock.now in
-            if over_gc_threshold t i then Engine.schedule e ~at (Engine.Gc i);
-            if (not n.n_crashed) && K.has_ready n.n_kernel then
-              Engine.schedule e ~at (Engine.Step i);
-            ensure_wake t i
-          end
-        end
-      | Some (Engine.Wake i) ->
-        (* node-local, so safe inside a window; mirrors the sequential
-           loop's revalidation exactly *)
-        let n = t.nodes.(i) in
-        if not n.n_crashed then begin
-          match K.next_timeout n.n_kernel with
-          | None -> ()
-          | Some d ->
-            let eff = Float.max d n.n_clock.Sim.Clock.now in
-            if eff > tm then Engine.reschedule e ~at:eff (Engine.Wake i)
-            else begin
-              count_event t i;
-              K.set_time_us n.n_kernel tm;
-              ignore (K.expire_timeouts n.n_kernel ~now:tm : int);
-              ensure_wake t i;
-              ensure_step t i
-            end
-        end
-      | Some (Engine.Deliver i) -> (
-        let n = t.nodes.(i) in
-        match Enet.Netsim.next_arrival_at t.net ~dst:i with
-        | None -> ()
-        | Some arrival ->
-          let eff = Float.max arrival n.n_clock.Sim.Clock.now in
-          if eff > tm then Engine.reschedule e ~at:eff (Engine.Deliver i)
-          else begin
-            exec_deliver t i eff;
-            (match Enet.Netsim.next_arrival_at t.net ~dst:i with
-            | Some a ->
-              Engine.schedule e
-                ~at:(Float.max a (K.time_us n.n_kernel))
-                (Engine.Deliver i)
-            | None -> ());
-            ensure_step t i;
-            ensure_wake t i
-          end))
+      | Some ev -> ignore (exec_entry t e ~tm ev : bool)
+      | None -> running := false)
+    | _ -> running := false
   done
 
 (* The barrier: replay the windows' deferred effects in the canonical
@@ -2277,8 +2128,8 @@ let win_run_shard t s ~horizon =
    sequence number), not the rank order: a handler may schedule a
    same-time event of LOWER rank — the Step handler queuing a
    collection for a zero-cost slice, say — and the engine necessarily
-   pops it after its scheduler, while a rank sort would replay it
-   before.  Hence the key is (time, shard, seq). *)
+   pops it after the event that queued it, while a rank sort would
+   replay it before.  Hence the key is (time, shard, seq). *)
 let barrier_flush t =
   Enet.Netsim.flush_outboxes t.net (Array.map (fun sh -> sh.sh_outbox) t.shards);
   if t.win_buffering then begin
@@ -2300,10 +2151,10 @@ let barrier_flush t =
     Array.iter
       (fun (_, _, _, b) ->
         match b with
-        | B_ev ev -> emit_direct t ev
+        | B_ev ev -> E.emit t.bus ev
         | B_send d ->
           let arrives = Enet.Netsim.Outbox.arrival d.ds_entry in
-          emit_direct t
+          E.emit t.bus
             (E.Ev_msg_send
                { time = d.ds_time; src = d.ds_src; dst = d.ds_dst;
                  desc = d.ds_desc; bytes = d.ds_bytes; arrives });
@@ -2311,7 +2162,7 @@ let barrier_flush t =
              on the sequential path *)
           (match d.ds_span with
           | Some (id, rid, pair) ->
-            emit_direct t
+            E.emit t.bus
               (E.Ev_span
                  { Obs.Span.name = "transfer"; node = d.ds_src;
                    arch_pair = pair; t_start_us = d.ds_time;
@@ -2366,7 +2217,7 @@ let run_parallel t ~max_events =
       fire_balancer t
     | Some (w0, _) ->
       let horizon = Float.min (w0 +. t.lookahead) t.balance_at in
-      t.win_buffering <- E.has_subscribers t.bus || t.trace <> None;
+      t.win_buffering <- E.has_subscribers t.bus;
       Array.iteri
         (fun s sh ->
           sh.sh_seq <- 0;
@@ -2399,15 +2250,11 @@ let run_parallel t ~max_events =
 let run ?(max_events = 2_000_000) t =
   if parallel_ok t then run_parallel t ~max_events
   else begin
-    let budget = ref max_events in
-    let running = ref true in
-    while !running do
-      if step_once t then begin
-        decr budget;
-        if !budget <= 0 then
-          failwith "Cluster.run: event budget exceeded (livelock?)"
-      end
-      else running := false
+    let executed = ref 0 in
+    while step_once t do
+      incr executed;
+      if !executed > max_events then
+        failwith "Cluster.run: event budget exceeded (livelock?)"
     done
   end
 
@@ -2516,7 +2363,7 @@ let result t tid =
     !found
 
 let run_until_result ?(max_events = 2_000_000) t tid =
-  let budget = ref max_events in
+  let executed = ref 0 in
   (* probing two hash tables before every event is measurable in the hot
      loop; both tables only ever grow, so O(1) length checks gate the
      probes and the common no-news iteration touches neither *)
@@ -2536,8 +2383,9 @@ let run_until_result ?(max_events = 2_000_000) t tid =
     | None ->
       if not (step_once t) then
         failwith "Cluster.run_until_result: cluster quiescent without a result";
-      decr budget;
-      if !budget <= 0 then failwith "Cluster.run_until_result: event budget exceeded";
+      incr executed;
+      if !executed > max_events then
+        failwith "Cluster.run_until_result: event budget exceeded";
       go ~done_n:dn ~fail_n:fn
   in
   go ~done_n:(-1) ~fail_n:(-1)

@@ -14,14 +14,6 @@ type protocol =
           conversion — and migration between unlike architectures is
           refused, as it must be *)
 
-type scheduler =
-  | Heap  (** event selection through the {!Engine} min-heap: O(log
-              pending) per event *)
-  | Scan
-      (** the seed's O(nodes)-per-event rescan, kept for cross-checking
-          and for the scaling benchmark; both produce identical event
-          sequences and results *)
-
 type location =
   | Loc_off
       (** no location subsystem: the event and byte streams are
@@ -47,8 +39,7 @@ type gc_mode =
       (** the tri-color incremental tier (DESIGN.md §17): the same
           collection split into bounded increments interleaved with the
           event loop, each charged per slot scanned; live/swept
-          accounting matches {!Gc_stw} exactly.  Requires the {!Heap}
-          scheduler. *)
+          accounting matches {!Gc_stw} exactly. *)
 
 exception Heterogeneous_move_in_original_protocol
 
@@ -61,7 +52,6 @@ val create :
   ?net_config:Enet.Netsim.config ->
   ?protocol:protocol ->
   ?wire_impl:Enet.Wire.impl ->
-  ?scheduler:scheduler ->
   ?shards:int ->
   ?quantum:int ->
   ?opt_level:Emc.Opt.level ->
@@ -78,14 +68,12 @@ val create :
     scheduling with the given instruction quantum; threads are then run
     forward to their next bus stop before any migration capture
     (section 2.2.1).  Default: the Emerald discipline — control transfers
-    only at bus stops.  [scheduler] selects the event-selection
-    mechanism (default {!Heap}).
+    only at bus stops.
 
     [gc_threshold] arms automatic collection when a node's live heap
     bytes exceed it; [gc_mode] selects the collector tier (default
     {!Gc_stw}) and [gc_budget] bounds the pointer slots one incremental
     increment may scan (default 4096; must be positive).
-    [Gc_incremental] requires the {!Heap} scheduler.
 
     [opt_level] selects the code instance every node executes (default
     {!Emc.Opt.O0}, the seed's straight template code); use
@@ -96,7 +84,7 @@ val create :
 
     [shards] partitions the nodes contiguously across that many OCaml
     domains, one event engine per shard (default 1; capped at one shard
-    per node; requires {!Heap}).  Sharding never changes simulation
+    per node).  Sharding never changes simulation
     results: every API except {!run} drives the shards through a
     sequential (time, rank) merge that reproduces the single-heap event
     order exactly, and {!run} switches to conservatively synchronised
@@ -113,7 +101,6 @@ val create :
     retry budget is spent — and schedules the plan's partitions and
     crash/restart windows.  A trivial plan changes nothing: the event
     sequence is bit-identical to a cluster built without one.
-    Non-trivial plans require the {!Heap} scheduler.
 
     [async_migration] hands the capture/translate/marshal pipeline of a
     migration to a background mover engine (DESIGN.md §13): the pipeline
@@ -132,7 +119,6 @@ val create :
     [shards]. *)
 
 val protocol : t -> protocol
-val scheduler : t -> scheduler
 
 val gc_mode : t -> gc_mode
 
@@ -163,8 +149,7 @@ val network : t -> Enet.Netsim.t
 val conversion_stats : t -> int -> Enet.Conversion_stats.t
 
 val engine : t -> Engine.t
-(** Shard 0's event engine (heap depth, push/pop/stale counters).
-    Unused — all counters zero — under the {!Scan} scheduler. *)
+(** Shard 0's event engine (heap depth, push/pop/stale counters). *)
 
 val engines : t -> Engine.t array
 (** All per-shard engines, in shard order (length {!n_shards}). *)
@@ -174,9 +159,9 @@ val shard_of : t -> int -> int
 (** The shard owning a node (contiguous placement, see {!Shard.plan}). *)
 
 val set_trace : t -> (string -> unit) -> unit
-(** Legacy line-oriented trace hook: receives
-    {!Events.legacy_string} of every event that has one — byte-identical
-    to the seed's output. *)
+(** Legacy line-oriented trace hook: subscribes a bus listener that
+    receives {!Events.legacy_string} of every event that has one —
+    byte-identical to the seed's output.  Each call adds a listener. *)
 
 val subscribe_events : t -> (Events.t -> unit) -> unit
 (** Subscribe to the typed trace/metrics bus. *)
@@ -244,11 +229,15 @@ val step_once : t -> bool
     plumbing of their own. *)
 
 val run : ?max_events:int -> t -> unit
-(** Run to quiescence.  @raise Failure if [max_events] is exceeded. *)
+(** Run to quiescence.  @raise Failure if more than [max_events]
+    events execute (default 2_000_000). *)
 
 val run_until_result : ?max_events:int -> t -> Ert.Thread.tid -> Ert.Value.t option
 (** Run until the given root thread finishes (wherever it finishes);
-    returns its result. *)
+    returns its result.  @raise Failure if more than [max_events] events
+    execute first (default 2_000_000), or if the cluster quiesces
+    without a result.  @raise Thread_unavailable if the thread was
+    lost. *)
 
 val result : t -> Ert.Thread.tid -> Ert.Value.t option option
 
@@ -299,7 +288,7 @@ val set_balancer : t -> every_us:float -> (unit -> unit) -> unit
     its firing points partition the event sequence identically at any
     shard count.  The hook typically inspects per-node load
     ({!Ert.Kernel.ready_depth}, {!Obs.Profile} data) and calls
-    {!evict_thread}.  Heap scheduler only. *)
+    {!evict_thread}. *)
 
 val crash_node : t -> int -> unit
 (** Fail-stop the node: its objects, code and thread segments are lost;

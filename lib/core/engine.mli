@@ -2,9 +2,10 @@
     events keyed on virtual time.
 
     The seed selected the next event by rescanning every node's kernel
-    and message queue — O(nodes) per event.  The engine replaces the
-    scan with an O(log pending) heap while reproducing the scan's event
-    order, with one deliberate strengthening: simultaneous events have a
+    and message queue — O(nodes) per event.  The engine replaced the
+    scan with an O(log pending) heap that reproduces the scan's event
+    order (pinned as goldens in the engine tests now that the scan is
+    gone), with one deliberate strengthening: simultaneous events have a
     *total* order (time, then node-major {!rank} — per node the kinds
     order Chaos < Gc < Deliver < Wake < Step < Timer — then insertion
     sequence),
@@ -16,8 +17,9 @@
     Scheduled times are allowed to go stale — a node's clock advances
     after its step was queued, or a message queue's head changes.  The
     engine dedups to at most one pending entry per (kind, node); the
-    executor re-validates each popped entry and {!reschedule}s it at the
-    corrected time, which is always later, so no event can run early.
+    cluster's one event handler re-validates each popped entry and
+    {!reschedule}s it at the corrected time, which is always later, so no
+    event can run early.
 
     One engine instance is single-domain: a sharded cluster runs one
     engine per shard and merges the streams (see Cluster).  The heap,

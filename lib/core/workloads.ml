@@ -270,7 +270,7 @@ let scaling_archs n_nodes =
   let pool = [| Isa.Arch.sparc; Isa.Arch.sun3; Isa.Arch.hp9000_433; Isa.Arch.vax |] in
   List.init n_nodes (fun i -> pool.(i mod Array.length pool))
 
-let measure_scaling ?(scheduler = Cluster.Heap) ?(quantum = 20) ?faults
+let measure_scaling ?(quantum = 20) ?faults
     ?(shards = 1) ?(agents = 1) ~n_nodes ~hops ~spins () =
   let multi = agents > 1 in
   (* the multi-agent tour's premise — agents at pairwise distinct nodes
@@ -282,7 +282,7 @@ let measure_scaling ?(scheduler = Cluster.Heap) ?(quantum = 20) ?faults
     if multi then List.init n_nodes (fun _ -> Isa.Arch.sparc)
     else scaling_archs n_nodes
   in
-  let cl = Cluster.create ~scheduler ~quantum ?faults ~shards ~archs () in
+  let cl = Cluster.create ~quantum ?faults ~shards ~archs () in
   ignore
     (Cluster.compile_and_load cl ~name:"scaling"
        (if multi then parallel_src else scaling_src));

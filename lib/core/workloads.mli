@@ -82,14 +82,13 @@ type scaling = {
   sc_virtual_us : float;
   sc_host_seconds : float;  (** wall time of the event loop *)
   sc_events_per_sec : float;
-  sc_engine_pops : int;  (** summed over shards; 0 under [Scan] *)
+  sc_engine_pops : int;  (** summed over shards *)
   sc_engine_stale : int;
   sc_windows : int;  (** parallel windows run (0 in sequential regimes) *)
   sc_mean_horizon_us : float;
 }
 
 val measure_scaling :
-  ?scheduler:Cluster.scheduler ->
   ?quantum:int ->
   ?faults:Fault.Plan.t ->
   ?shards:int ->
@@ -100,8 +99,7 @@ val measure_scaling :
   unit ->
   scaling
 (** Run the scaling workload on an [n_nodes] cluster and report events
-    per wall-clock second.  Run with both schedulers to compare: the
-    simulation results must be identical, only the wall clock differs.
+    per wall-clock second.
 
     [agents = 1] (default) keeps the seed's single-agent tour, driven
     by [run_until_result].  [agents > 1] spawns one {!parallel_src}
