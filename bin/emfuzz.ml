@@ -31,7 +31,10 @@ let pp_outcome ?(verbose = false) ppf (o : Core.Fuzz.outcome) =
       o.Core.Fuzz.f_evictions o.Core.Fuzz.f_faults o.Core.Fuzz.f_retransmits
       o.Core.Fuzz.f_dups;
   if verbose && o.Core.Fuzz.f_group_moves > 0 then
-    Format.fprintf ppf " [%d group moves]" o.Core.Fuzz.f_group_moves
+    Format.fprintf ppf " [%d group moves]" o.Core.Fuzz.f_group_moves;
+  if verbose && o.Core.Fuzz.f_gc_increments > 0 then
+    Format.fprintf ppf " [%d collections, %d gc increments]"
+      o.Core.Fuzz.f_collections o.Core.Fuzz.f_gc_increments
 
 let report_failure ~drop ~evict ~groups ~gc ~check_every ~max_events ~shards
     ~do_shrink (o : Core.Fuzz.outcome) =
@@ -91,6 +94,7 @@ let run seeds start one_seed faults drop evict groups gc check_every
     let completed = ref 0 and unavailable = ref 0 in
     let faults_n = ref 0 and rexmit = ref 0 and dups = ref 0 in
     let evictions = ref 0 and group_moves = ref 0 in
+    let collections = ref 0 and increments = ref 0 in
     let ran = ref 0 in
     let on_outcome (o : Core.Fuzz.outcome) =
       incr ran;
@@ -103,6 +107,8 @@ let run seeds start one_seed faults drop evict groups gc check_every
       dups := !dups + o.Core.Fuzz.f_dups;
       evictions := !evictions + o.Core.Fuzz.f_evictions;
       group_moves := !group_moves + o.Core.Fuzz.f_group_moves;
+      collections := !collections + o.Core.Fuzz.f_collections;
+      increments := !increments + o.Core.Fuzz.f_gc_increments;
       if verbose then Format.printf "%a@." (pp_outcome ~verbose:true) o
     in
     let seed_list = List.init seeds (fun i -> start + i) in
@@ -120,9 +126,18 @@ let run seeds start one_seed faults drop evict groups gc check_every
          injected, %d retransmits, %d dups suppressed%s)  [%.1fs]@."
         !ran !completed !unavailable !faults_n !rexmit !dups
         ((if evict then Printf.sprintf ", %d evictions" !evictions else "")
-        ^ (if groups then Printf.sprintf ", %d group moves" !group_moves else ""))
+        ^ (if groups then Printf.sprintf ", %d group moves" !group_moves else "")
+        ^ (if gc then
+             Printf.sprintf ", %d collections, %d gc increments" !collections
+               !increments
+           else ""))
         (Unix.gettimeofday () -. t0);
-      0)
+      (* a --gc sweep whose collector never ran raced nothing *)
+      if gc && !increments = 0 then begin
+        Format.printf "emfuzz: --gc sweep ran no collector increments@.";
+        1
+      end
+      else 0)
 
 let seeds_t =
   Arg.(value & opt int 200 & info [ "seeds" ] ~docv:"N" ~doc:"Number of seeds to sweep.")

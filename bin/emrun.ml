@@ -177,6 +177,11 @@ let run file nodes opt cls op args_s original codec shards location gc_mode_s
           (Ert.Kernel.evictions k)
           (Ert.Kernel.evictions_armed k)
       done;
+      for i = 0 to Core.Cluster.n_nodes cl - 1 do
+        let live, peak, reused = Ert.Kernel.stack_stats (Core.Cluster.kernel cl i) in
+        Printf.printf "node %d stacks: %d live (peak %d), %d reused\n" i live
+          peak reused
+      done;
       let gc_freed =
         Core.Cluster.total_counter cl (fun c -> c.Core.Events.c_gc_bytes_freed)
       in

@@ -2009,7 +2009,10 @@ let rec step_once_heap t ~horizon =
     let tbl = t.outstanding.(i) in
     if t.nodes.(i).n_crashed || Hashtbl.length tbl = 0 then step_once_heap t ~horizon
     else begin
-      let now = Engine.now e in
+      (* deadlines fire at the entry's own time, never at the engine
+         frontier: a timer popped below the frontier would otherwise
+         retransmit late, stamped with a time no deadline asked for *)
+      let now = tm in
       let due, later =
         Hashtbl.fold
           (fun _ p (d, l) ->

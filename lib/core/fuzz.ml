@@ -20,6 +20,8 @@ type outcome = {
   f_retransmits : int;
   f_dups : int;
   f_group_moves : int;
+  f_collections : int;
+  f_gc_increments : int;
   f_trace : string list;
 }
 
@@ -178,14 +180,18 @@ let run_seed ?plan ?drop ?(evict = false) ?(groups = false) ?(gc = false)
   (* gc mode: incremental collection with a threshold small enough that
      cycles are open nearly continuously, so the write barrier, migration
      send-off greying and crash-mid-cycle discard all race the fault
-     plan.  The collector is local-roots-only (no distributed GC), so the
-     mixed workload's Adder — referenced only by the departed agent's
-     remote frame — is legitimately swept once its holder leaves; the
-     protocol then reports the loss cleanly ("cannot be located") and the
-     verdict stays ok.  The stop-the-world tier at the same threshold
-     produces the identical verdict. *)
+     plan.  The threshold counts only sweepable bytes (thread stacks are
+     owned by their segments), and these workloads keep well under 256
+     of them on a node, so the threshold is 0: every slice that leaves
+     any object on a node starts a cycle.  The collector is
+     local-roots-only (no distributed GC), so the mixed workload's Adder
+     — referenced only by the departed agent's remote frame — is
+     legitimately swept once its holder leaves; the protocol then
+     reports the loss cleanly ("cannot be located") and the verdict
+     stays ok.  The stop-the-world tier at the same threshold produces
+     the identical verdict. *)
   let gc_mode = if gc then Cluster.Gc_incremental else Cluster.Gc_stw in
-  let gc_threshold = if gc then Some (8 * 1024) else None in
+  let gc_threshold = if gc then Some 0 else None in
   let cl =
     Cluster.create ~faults:plan ?shards ~location ~gc_mode ?gc_threshold
       ~gc_budget:64 ~archs ()
@@ -289,6 +295,8 @@ let run_seed ?plan ?drop ?(evict = false) ?(groups = false) ?(gc = false)
     f_retransmits = Cluster.total_counter cl (fun c -> c.Events.c_retransmits);
     f_dups = Cluster.total_counter cl (fun c -> c.Events.c_dups_suppressed);
     f_group_moves = Cluster.total_counter cl (fun c -> c.Events.c_group_moves);
+    f_collections = Cluster.collections cl;
+    f_gc_increments = Cluster.total_counter cl (fun c -> c.Events.c_gc_increments);
     f_trace = List.of_seq (Queue.to_seq trace);
   }
 

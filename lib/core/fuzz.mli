@@ -35,6 +35,8 @@ type outcome = {
   f_retransmits : int;
   f_dups : int;  (** duplicates suppressed *)
   f_group_moves : int;  (** batched group transfers sent (0 without [groups]) *)
+  f_collections : int;  (** collection cycles completed (0 without [gc]) *)
+  f_gc_increments : int;  (** incremental-collector increments run *)
   f_trace : string list;  (** last trace lines, oldest first *)
 }
 

@@ -13,6 +13,13 @@ let create ~mem ~start =
 
 let align n = (n + 3) land lnot 3
 
+let bump t n =
+  let addr = t.brk in
+  if addr + n >= Isa.Text.text_base then raise Out_of_memory;
+  Isa.Memory.grow_to t.mem (addr + n);
+  t.brk <- addr + n;
+  addr
+
 let alloc t n =
   let n = align (max n 4) in
   t.allocations <- t.allocations + 1;
@@ -22,12 +29,9 @@ let alloc t n =
     l := rest;
     Isa.Memory.zero_fill t.mem addr n;
     addr
-  | Some { contents = [] } | None ->
-    let addr = t.brk in
-    if addr + n >= Isa.Text.text_base then raise Out_of_memory;
-    Isa.Memory.grow_to t.mem (addr + n);
-    t.brk <- addr + n;
-    addr
+  | Some { contents = [] } | None -> bump t n
+
+let alloc_untracked t n = bump t (align (max n 4))
 
 let free t ~addr ~size =
   let size = align (max size 4) in

@@ -101,6 +101,17 @@ type t = {
          at its next bus stop with no cooperative polling by the code. *)
   mutable evictions : int;  (* eviction traps fired *)
   mutable peak_ready : int;  (* high-water mark of the run queue *)
+  stack_owners : (int, int) Hashtbl.t;
+      (* every thread stack carved on this node, by top address -> the
+         registered segments running on it (split runs of one thread
+         share a stack).  0 = free, -1 = handed out by [alloc_stack] and
+         not yet registered. *)
+  mutable stack_free : int list;
+      (* tops whose owner count fell to 0, newest first; an entry whose
+         stack was registered again is stale, and [alloc_stack] skips it *)
+  mutable stacks_live : int;  (* carved stacks not free *)
+  mutable stacks_peak : int;
+  mutable stacks_reused : int;
   mutable kdispatch : Isa.Dispatch.cache;
       (* per-node translated-code cache for the threaded-dispatch engine;
          the cluster points it at the code repository's per-node cache *)
@@ -158,6 +169,11 @@ let create ?clock ~node_id ~arch () =
     evict_arms = Hashtbl.create 4;
     evictions = 0;
     peak_ready = 0;
+    stack_owners = Hashtbl.create 16;
+    stack_free = [];
+    stacks_live = 0;
+    stacks_peak = 0;
+    stacks_reused = 0;
     kdispatch = Isa.Dispatch.create_cache ();
     kthreaded = true;
     kopt = Emc.Opt.O0;
@@ -653,9 +669,64 @@ let fresh_seg_id t =
 let stack_size = 32 * 1024
 let stack_bytes = stack_size
 
+(* Thread stacks.  A stack belongs to the registered segments running on
+   it and goes back to the node's free list when the last one leaves or
+   dies; it is carved untracked, so it never counts towards the heap's
+   live bytes (the collector cannot sweep it).  Reuse happens only here,
+   and only for a stack whose owner count is still 0 when it is popped:
+   a split drops the count to 0 and raises it again. *)
+let stack_owners t ~top = Hashtbl.find_opt t.stack_owners top
+
+let note_stack_live t d =
+  t.stacks_live <- t.stacks_live + d;
+  if t.stacks_live > t.stacks_peak then t.stacks_peak <- t.stacks_live
+
+let rec take_stack t =
+  match t.stack_free with
+  | top :: rest ->
+    t.stack_free <- rest;
+    if Hashtbl.find t.stack_owners top <> 0 then take_stack t
+    else begin
+      t.stacks_reused <- t.stacks_reused + 1;
+      Mem.zero_fill t.kmem (top - stack_size) stack_size;
+      top
+    end
+  | [] -> Heap.alloc_untracked t.kheap stack_size + stack_size
+
 let alloc_stack t =
-  let base = Heap.alloc t.kheap stack_size in
-  base + stack_size
+  let top = take_stack t in
+  Hashtbl.replace t.stack_owners top (-1);
+  note_stack_live t 1;
+  top
+
+let acquire_stack t (seg : Thread.segment) =
+  let top = seg.Thread.seg_stack_top in
+  match Hashtbl.find_opt t.stack_owners top with
+  | Some n when n > 0 -> Hashtbl.replace t.stack_owners top (n + 1)
+  | Some n ->
+    Hashtbl.replace t.stack_owners top 1;
+    if n = 0 then begin
+      (* a split's staying run takes back the stack its release just
+         pushed; an entry left deeper in the list is skipped later *)
+      note_stack_live t 1;
+      match t.stack_free with
+      | hd :: rest when hd = top -> t.stack_free <- rest
+      | _ -> ()
+    end
+  | None -> () (* not carved here: [Fault.Invariants] reports it *)
+
+let release_stack t (seg : Thread.segment) =
+  let top = seg.Thread.seg_stack_top in
+  match Hashtbl.find_opt t.stack_owners top with
+  | Some n when n > 0 ->
+    Hashtbl.replace t.stack_owners top (n - 1);
+    if n = 1 then begin
+      note_stack_live t (-1);
+      t.stack_free <- top :: t.stack_free
+    end
+  | _ -> ()
+
+let stack_stats t = (t.stacks_live, t.stacks_peak, t.stacks_reused)
 
 let enqueue_ready t seg =
   Queue.add seg t.run_queue;
@@ -664,8 +735,12 @@ let enqueue_ready t seg =
 
 let register_segment t seg =
   (match Hashtbl.find_opt t.segs seg.Thread.seg_id with
-  | Some old when old != seg -> old.Thread.seg_live <- false
-  | _ -> ());
+  | Some old when old == seg -> ()
+  | Some old ->
+    old.Thread.seg_live <- false;
+    release_stack t old;
+    acquire_stack t seg
+  | None -> acquire_stack t seg);
   seg.Thread.seg_live <- true;
   Hashtbl.replace t.segs seg.Thread.seg_id seg;
   Hashtbl.remove t.seg_forwards seg.Thread.seg_id;
@@ -676,7 +751,9 @@ let register_segment t seg =
 
 let unregister_segment t seg =
   (match Hashtbl.find_opt t.segs seg.Thread.seg_id with
-  | Some cur -> cur.Thread.seg_live <- false
+  | Some cur ->
+    cur.Thread.seg_live <- false;
+    release_stack t cur
   | None -> ());
   seg.Thread.seg_live <- false;
   Hashtbl.remove t.segs seg.Thread.seg_id;

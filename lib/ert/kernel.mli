@@ -229,10 +229,31 @@ val fresh_tid : t -> Thread.tid
 val fresh_seg_id : t -> int
 val stack_bytes : int
 val alloc_stack : t -> int
-(** Allocate a stack region; returns its top (highest) address. *)
+(** Hand out a [stack_bytes] stack region, zero filled; returns its top
+    (highest) address.  It reuses a stack no registered segment owns
+    any more, or else carves a fresh one outside the heap's live bytes.
+    The region belongs to the segment(s) later registered on it. *)
 
 val register_segment : t -> Thread.segment -> unit
+(** Make a segment current under its id.  Its stack gains an owner; a
+    different segment registered under the same id is superseded and
+    gives its stack up. *)
+
 val unregister_segment : t -> Thread.segment -> unit
+(** Remove the segment registered under this id (it left or died).  Its
+    stack loses an owner and, at zero owners, goes back to the node's
+    free list for a later {!alloc_stack}.  Nothing else frees a stack. *)
+
+val stack_owners : t -> top:int -> int option
+(** How many registered segments run on the stack with this top address:
+    [None] if this node never carved it, [Some 0] if it is free,
+    [Some (-1)] if {!alloc_stack} handed it out and nothing registered
+    on it yet. *)
+
+val stack_stats : t -> int * int * int
+(** Thread stacks [(live, peak, reused)]: stacks not on the free list
+    now, the most at once, and the {!alloc_stack} calls served from the
+    free list. *)
 
 val set_seg_forward : t -> seg_id:int -> node:int -> unit
 (** Leave a forwarding address for a migrated segment, so late replies can

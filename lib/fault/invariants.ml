@@ -96,6 +96,55 @@ let check_monitors ~n_nodes ~kernel ~crashed acc =
   done;
   !acc
 
+(* every registered segment runs on a stack its node carved and has not
+   freed, each stack's owner count is exactly the number of registered
+   segments on it, and segments share a stack only as split runs of one
+   thread — a stack handed out twice would let two threads overwrite
+   each other's frames *)
+let check_stacks ~n_nodes ~kernel ~crashed acc =
+  let acc = ref acc in
+  for i = 0 to n_nodes - 1 do
+    if not (crashed i) then begin
+      let k = kernel i in
+      let on_stack : (int, T.segment list) Hashtbl.t = Hashtbl.create 16 in
+      List.iter
+        (fun (seg : T.segment) ->
+          let top = seg.T.seg_stack_top in
+          Hashtbl.replace on_stack top
+            (seg :: Option.value ~default:[] (Hashtbl.find_opt on_stack top)))
+        (K.segments k);
+      Hashtbl.iter
+        (fun top (segs : T.segment list) ->
+          let n = List.length segs in
+          let first = List.hd segs in
+          (match K.stack_owners k ~top with
+          | None ->
+            acc :=
+              v "stack-ownership" "node %d: segment %d runs on stack %#x the node never carved"
+                i first.T.seg_id top
+              :: !acc
+          | Some owners when owners <> n ->
+            acc :=
+              v "stack-ownership"
+                "node %d: stack %#x counts %d owners but %d registered segments run on it%s"
+                i top owners n (if owners = 0 then " (it is on the free list)" else "")
+              :: !acc
+          | Some _ -> ());
+          List.iter
+            (fun (seg : T.segment) ->
+              if seg.T.seg_thread <> first.T.seg_thread then
+                acc :=
+                  v "stack-ownership"
+                    "node %d: segments %d (thread %d) and %d (thread %d) share stack %#x"
+                    i first.T.seg_id first.T.seg_thread seg.T.seg_id
+                    seg.T.seg_thread top
+                  :: !acc)
+            segs)
+        on_stack
+    end
+  done;
+  !acc
+
 let check_time ~n_nodes ~kernel ~last_times acc =
   let acc = ref acc in
   for i = 0 to n_nodes - 1 do
@@ -114,5 +163,6 @@ let check ~n_nodes ~kernel ~crashed ~thread_failed ~last_times =
   |> check_unique_residency ~n_nodes ~kernel ~crashed
   |> check_no_orphans ~n_nodes ~kernel ~crashed ~thread_failed
   |> check_monitors ~n_nodes ~kernel ~crashed
+  |> check_stacks ~n_nodes ~kernel ~crashed
   |> check_time ~n_nodes ~kernel ~last_times
   |> List.rev

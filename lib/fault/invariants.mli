@@ -17,6 +17,10 @@
     - {b monitor/condition queue integrity}: a monitor's entry queue
       holds only registered segments blocked on that monitor; a lock
       with queued waiters must actually be held.
+    - {b stack ownership}: every registered segment runs on a stack its
+      node carved and has not freed; each stack's owner count equals the
+      registered segments running on it; and two segments share a stack
+      only as split runs of one thread.
     - {b virtual-time monotonicity}: no node's clock ever runs backwards
       between checks ([last_times] carries the previous observation and
       is updated in place). *)

@@ -73,6 +73,7 @@ let capture k ~thread =
 
 let suspend k ~thread =
   let image = capture k ~thread in
+  (* unregistering gives each segment's stack back to the node *)
   List.iter (K.unregister_segment k) (segments_of_thread k ~thread);
   image
 

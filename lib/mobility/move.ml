@@ -79,6 +79,7 @@ let split_segment k ~dest ~moving_oid (seg : T.segment) : Mi_frame.mi_segment li
   | Some spawn ->
     if not (moving_oid spawn.T.si_target) then []
     else begin
+      (* nothing ran on the stack yet: unregistering frees it here *)
       K.unregister_segment k seg;
       K.set_seg_forward k ~seg_id:seg.T.seg_id ~node:dest;
       [
@@ -151,7 +152,10 @@ let split_segment k ~dest ~moving_oid (seg : T.segment) : Mi_frame.mi_segment li
             K.set_seg_forward k ~seg_id:ids.(j) ~node:dest
           end)
         runs;
-      (* re-form the staying runs in place *)
+      (* re-form the staying runs in place.  They share [seg]'s stack:
+         unregistering drops its owner count to 0 and puts it on the
+         free list, and the registrations below raise the count again
+         before any [K.alloc_stack] could pop it *)
       K.unregister_segment k seg;
       Array.iteri
         (fun j (moves, fs) ->

@@ -132,6 +132,8 @@ let rebuild_segment k (mi : Mi_frame.mi_segment) : T.segment =
     in
     let n = List.length builds in
     let barr = Array.of_list builds in
+    (* a reused or fresh stack; the segment owns it from
+       [K.register_segment] below until it is unregistered *)
     let stack_top = K.alloc_stack k in
     let stack_bottom = stack_top - K.stack_bytes + 256 in
     (* phase 1: translate youngest first into provisional positions at the

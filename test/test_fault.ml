@@ -209,6 +209,85 @@ let test_netsim_injection_hooks () =
     [ "duplicated"; "clean"; "duplicated"; "delayed" ]
     order
 
+let lead_src =
+  {|
+object Spinner
+  operation spin[n : int] -> [r : int]
+    var i : int <- 0
+    loop
+      exit when i >= n
+      i <- i + 1
+    end loop
+    r <- i
+  end spin
+end Spinner
+
+object Agent
+  operation trip[dest : int] -> [r : int]
+    move self to dest
+    r <- thisnode
+  end trip
+end Agent
+|}
+
+(* node 2 spins [spins] iterations first; then an agent spawned on idle
+   node 0 hops to node 1 through a partition that cuts its first frame
+   (sent at about 18 ms, after code loading; the partition lifts at 19
+   ms, before the 2 ms retransmission timeout runs out).
+   Returns the engine frontier the agent started under and the delay
+   from the move's send to its delivery on node 1. *)
+let run_cut_hop ~spins =
+  let faults =
+    P.with_seed
+      (P.make
+         ~partitions:
+           [ { P.pt_a = [ 0 ]; pt_b = [ 1 ]; pt_from_us = 0.0; pt_until_us = 19_000.0 } ]
+         ())
+      5
+  in
+  let cl = Core.Cluster.create ~faults ~archs:[ A.sparc; A.vax; A.sparc ] () in
+  ignore (Core.Cluster.compile_and_load cl ~name:"lead" lead_src);
+  (* two spinners, so they trade the CPU at every loop poll and the
+     engine pops node 2's slices all the way up its clock *)
+  let spin () =
+    let spinner = Core.Cluster.create_object cl ~node:2 ~class_name:"Spinner" in
+    Core.Cluster.spawn cl ~node:2 ~target:spinner ~op:"spin"
+      ~args:[ V.Vint (Int32.of_int spins) ]
+  in
+  let s1 = spin () in
+  let s2 = spin () in
+  ignore (Core.Cluster.run_until_result cl s1);
+  ignore (Core.Cluster.run_until_result cl s2);
+  let frontier = Core.Engine.now (Core.Cluster.engine cl) in
+  let sent = ref None and landed = ref None in
+  Core.Cluster.subscribe_events cl (function
+    | Core.Events.Ev_msg_send { src = 0; dst = 1; time; _ } when !sent = None ->
+      sent := Some time
+    | Core.Events.Ev_msg_deliver { node = 1; time; _ } when !landed = None ->
+      landed := Some time
+    | _ -> ());
+  let agent = Core.Cluster.create_object cl ~node:0 ~class_name:"Agent" in
+  let tid = Core.Cluster.spawn cl ~node:0 ~target:agent ~op:"trip" ~args:[ V.Vint 1l ] in
+  (match Core.Cluster.run_until_result cl tid with
+  | Some (V.Vint 1l) -> ()
+  | _ -> Alcotest.fail "the agent did not land on node 1");
+  check Alcotest.int "one retransmission" 1
+    (Core.Cluster.total_counter cl (fun c -> c.Core.Events.c_retransmits));
+  match (!sent, !landed) with
+  | Some s, Some l -> (frontier, s, l -. s)
+  | _ -> Alcotest.fail "no move frame from node 0 reached node 1"
+
+(* A retransmission fires at its own deadline, whatever the engine has
+   popped before: with node 2 far ahead, the agent's retransmission
+   falls due far below the engine frontier, and the resent frame must
+   still land exactly as late as it does with no lead at all. *)
+let test_retransmit_at_deadline () =
+  let _, _, delay0 = run_cut_hop ~spins:0 in
+  let frontier, sent, delay = run_cut_hop ~spins:200_000 in
+  if sent +. 2_000.0 >= frontier then
+    Alcotest.fail "the deadline was not below the frontier; weak test";
+  check (Alcotest.float 1e-6) "send-to-landing delay" delay0 delay
+
 let suites =
   [
     ( "fault",
@@ -223,6 +302,8 @@ let suites =
           test_partition_heal_search_recovery;
         Alcotest.test_case "netsim injection hooks" `Quick
           test_netsim_injection_hooks;
+        Alcotest.test_case "retransmit fires at its deadline" `Quick
+          test_retransmit_at_deadline;
         QCheck_alcotest.to_alcotest qcheck_any_seed_is_safe;
       ] );
   ]

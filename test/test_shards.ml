@@ -304,12 +304,17 @@ let test_incremental_gc_shard_invariant () =
      pause escapes the bound would stall the window protocol. *)
   let budget = 64 in
   let pauses = ref [] in
+  let freed = ref 0 in
   let go shards =
     pauses := [];
-    run_parallel_tour ~gc_threshold:12_000 ~gc_mode:C.Gc_incremental
+    freed := 0;
+    (* the threshold counts only sweepable bytes, not thread stacks;
+       the tour's own objects cross 64 bytes on a node *)
+    run_parallel_tour ~gc_threshold:64 ~gc_mode:C.Gc_incremental
       ~gc_budget:budget
       ~on_event:(function
         | E.Ev_gc_phase { pause_us; _ } -> pauses := pause_us :: !pauses
+        | E.Ev_gc { bytes_freed; _ } -> freed := !freed + bytes_freed
         | _ -> ())
       ~subscribe:true ~shards ~n_nodes:4 ~hops:6 ~spins:30 ()
   in
@@ -324,6 +329,7 @@ let test_incremental_gc_shard_invariant () =
     Alcotest.fail "4-shard incremental run never entered a parallel window";
   let inc1 = C.total_counter cl1 (fun c -> c.E.c_gc_increments) in
   if inc1 = 0 then Alcotest.fail "no increments ran";
+  if !freed = 0 then Alcotest.fail "no cycle reclaimed any garbage";
   check Alcotest.int "increment count shard-invariant" inc1
     (C.total_counter cl4 (fun c -> c.E.c_gc_increments));
   check Alcotest.int "every increment emitted a phase event" inc1
